@@ -123,18 +123,6 @@ impl ConexConfig {
         }
     }
 
-    /// Small and quick, for tests.
-    #[deprecated(note = "use `ConexConfig::preset(Preset::Fast)`")]
-    pub fn fast() -> Self {
-        Self::preset(Preset::Fast)
-    }
-
-    /// The configuration used by the experiments.
-    #[deprecated(note = "use `ConexConfig::preset(Preset::Paper)`")]
-    pub fn paper() -> Self {
-        Self::preset(Preset::Paper)
-    }
-
     /// Returns the same configuration with a different strategy.
     pub fn with_strategy(mut self, strategy: ExplorationStrategy) -> Self {
         self.strategy = strategy;

@@ -131,7 +131,6 @@ impl RunArchive {
         check_report_schema(&doc)?;
         let digest = fnv128(RunReport::stable_json_prefix(report_text).as_bytes());
         if self.entries()?.iter().any(|e| e.digest == digest) {
-            obs::counter_add("archive.duplicates", 1);
             return Ok(AddOutcome {
                 digest,
                 duplicate: true,
@@ -149,8 +148,6 @@ impl RunArchive {
         index
             .write_all(line.as_bytes())
             .map_err(|e| MceError::io("appending archive index", e))?;
-        obs::counter_add("archive.runs_added", 1);
-        obs::counter_add("archive.bytes_stored", report_text.len() as u64);
         Ok(AddOutcome {
             digest,
             duplicate: false,
@@ -253,10 +250,6 @@ impl RunArchive {
             }
             atomic_write(self.index_path(), rewritten.as_bytes())?;
         }
-        obs::counter_add(
-            "archive.gc_removed",
-            (stats.entries_removed + stats.objects_removed) as u64,
-        );
         Ok(stats)
     }
 }

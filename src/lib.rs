@@ -57,6 +57,7 @@
 pub mod archive;
 pub mod checkpoint;
 pub mod diff;
+pub mod framed;
 pub mod live;
 pub mod report;
 pub mod serve;
@@ -64,7 +65,7 @@ pub mod session;
 pub mod swarm;
 
 pub use archive::{AddOutcome, ArchiveEntry, GcStats, RunArchive, ARCHIVE_SCHEMA};
-pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
+pub use checkpoint::Checkpoint;
 pub use diff::{DiffKind, DiffOutcome};
 pub use live::{LiveShared, LIVE_SCHEMA};
 pub use mce_apex as apex;
@@ -81,7 +82,6 @@ pub use serve::{Client, JobEvent, JobJournal, JobRecord, JobSpec, JobState, Serv
 pub use session::{ExplorationSession, SessionResult};
 pub use swarm::{
     Lease, LeaseManifest, LeaseState, SwarmConfig, SwarmOutcome, SwarmRun, WorkerShard,
-    MANIFEST_SCHEMA, SHARD_SCHEMA,
 };
 
 /// Commonly used items for writing explorations end to end.

@@ -20,12 +20,11 @@ use super::{
 };
 use crate::archive::RunArchive;
 use crate::session::ExplorationSession;
-use crate::swarm::backoff_after;
+use crate::swarm::{backoff_after, RunLog};
 use mce_budget::{CancelReason, CancelToken};
 use mce_error::{atomic_write, sweep_stale_tmps, MceError};
 use mce_sim::Preset;
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,31 +65,6 @@ impl ServeConfig {
     }
 }
 
-struct ServeLog {
-    file: std::fs::File,
-    started: Instant,
-}
-
-impl ServeLog {
-    fn open(path: &Path) -> Result<Self, MceError> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| MceError::io(format!("open serve log {}", path.display()), e))?;
-        Ok(ServeLog {
-            file,
-            started: Instant::now(),
-        })
-    }
-
-    fn line(&mut self, msg: &str) {
-        let ms = self.started.elapsed().as_millis();
-        let _ = writeln!(self.file, "[{ms:>7} ms] {msg}");
-        let _ = self.file.flush();
-    }
-}
-
 /// A job's folded record plus the executor's runtime bits.
 struct JobView {
     record: JobRecord,
@@ -109,7 +83,7 @@ struct Shared {
     jobs: Mutex<BTreeMap<u64, JobView>>,
     next_id: AtomicU64,
     draining: AtomicBool,
-    log: Mutex<ServeLog>,
+    log: Mutex<RunLog>,
 }
 
 impl Shared {
@@ -148,7 +122,7 @@ pub fn run_daemon(cfg: ServeConfig) -> Result<(), MceError> {
     std::fs::create_dir_all(&cfg.dir)
         .map_err(|e| MceError::io(format!("create serve dir {}", cfg.dir.display()), e))?;
     sweep_stale_tmps(status_path(&cfg.dir));
-    let mut log = ServeLog::open(&log_path(&cfg.dir))?;
+    let mut log = RunLog::open(&log_path(&cfg.dir))?;
 
     // Pidfile with stale-lock detection: refuse a double-start against
     // a live daemon, recover silently from a crashed one's leftovers.

@@ -1,26 +1,24 @@
 //! The durable write-ahead job journal (`jobs.jsonl`).
 //!
-//! Every job lifecycle transition is one self-contained, digest-framed
-//! JSON line:
+//! Every job lifecycle transition is one [`framed::JOB_EVENT`] record
+//! line (see [`crate::framed`]):
 //!
 //! ```text
 //! {"mce_job":1,"digest":"<fnv128(event)>","event":{"Submitted":{...}}}
 //! ```
 //!
 //! Appends are a single `write` of the whole line followed by an fsync,
-//! so a crash leaves at worst one torn line at the tail. Replay parses
-//! the file strictly and positionally — header prefix, 32 hex digest
-//! digits, framed event body, digest verification, then the typed
-//! parse — and stops at the *first* invalid line, dropping it and
-//! everything after it (write-ahead-log tail-drop semantics). A flipped
-//! bit or truncated write can therefore lose the damaged tail records,
-//! but can never mis-parse into a different job spec or state.
+//! so a crash leaves at worst one torn line at the tail. Replay is the
+//! framed log's tail-drop replay: it stops at the *first* invalid line,
+//! dropping it and everything after it. A flipped bit or truncated write
+//! can therefore lose the damaged tail records, but can never mis-parse
+//! into a different job spec or state.
 //!
 //! The in-memory job table is the [`fold`] of the surviving event
 //! prefix; a daemon that replays the journal after a SIGKILL sees every
 //! acknowledged job exactly as it was journaled.
 
-use crate::checkpoint::fnv128;
+use crate::framed::{self, JOB_EVENT};
 use mce_appmodel::Workload;
 use mce_error::MceError;
 use serde::{Deserialize, Serialize};
@@ -28,10 +26,6 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
-
-/// Version of the journal line format, pinned into every line's
-/// `"mce_job"` header key.
-pub const JOURNAL_SCHEMA: u64 = 1;
 
 /// One exploration job as submitted by a client. The workload is
 /// inlined (the client resolves builtin names and files before
@@ -186,59 +180,6 @@ pub struct JobRecord {
     pub error: Option<String>,
 }
 
-// ---------------------------------------------------------------------------
-// Line framing
-// ---------------------------------------------------------------------------
-
-const LINE_PREFIX: &str = "{\"mce_job\":1,\"digest\":\"";
-const LINE_MID: &str = "\",\"event\":";
-
-/// Frames one event as a digest-checked journal line (with trailing
-/// newline).
-///
-/// # Errors
-///
-/// Returns [`MceError::Json`] if the event fails to serialize.
-pub fn frame_line(event: &JobEvent) -> Result<String, MceError> {
-    debug_assert_eq!(JOURNAL_SCHEMA, 1, "LINE_PREFIX pins the schema");
-    let body = serde_json::to_string(event)
-        .map_err(|e| MceError::json("serialize journal event", e.to_string()))?;
-    Ok(format!(
-        "{LINE_PREFIX}{}{LINE_MID}{body}}}\n",
-        fnv128(body.as_bytes())
-    ))
-}
-
-/// Parses one journal line (without its trailing newline) strictly and
-/// positionally; any deviation — wrong prefix, malformed digest, digest
-/// mismatch, trailing garbage, unparseable event — is an error.
-///
-/// # Errors
-///
-/// Returns [`MceError::Checkpoint`] describing the first violation.
-pub fn parse_line(line: &str) -> Result<JobEvent, MceError> {
-    let rest = line
-        .strip_prefix(LINE_PREFIX)
-        .ok_or_else(|| MceError::checkpoint("journal line: missing header"))?;
-    let (digest, rest) = rest
-        .split_at_checked(32)
-        .ok_or_else(|| MceError::checkpoint("journal line: truncated digest"))?;
-    if !digest.chars().all(|c| c.is_ascii_hexdigit()) {
-        return Err(MceError::checkpoint("journal line: digest is not hex"));
-    }
-    let rest = rest
-        .strip_prefix(LINE_MID)
-        .ok_or_else(|| MceError::checkpoint("journal line: malformed frame"))?;
-    let body = rest
-        .strip_suffix('}')
-        .ok_or_else(|| MceError::checkpoint("journal line: unterminated frame"))?;
-    if fnv128(body.as_bytes()) != digest {
-        return Err(MceError::checkpoint("journal line: digest mismatch"));
-    }
-    serde_json::from_str(body)
-        .map_err(|e| MceError::checkpoint(format!("journal line: invalid event: {e}")))
-}
-
 /// Replays a journal file: the longest valid prefix of events, plus the
 /// number of dropped (damaged-tail) lines. A missing file is an empty
 /// journal.
@@ -248,20 +189,7 @@ pub fn parse_line(line: &str) -> Result<JobEvent, MceError> {
 /// Returns [`MceError::Io`] only for real read failures — corruption is
 /// handled by tail-dropping, not by erroring the daemon out.
 pub fn replay(path: &Path) -> Result<(Vec<JobEvent>, usize), MceError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(MceError::io(format!("read journal {}", path.display()), e)),
-    };
-    let mut events = Vec::new();
-    let lines: Vec<&str> = text.split('\n').filter(|line| !line.is_empty()).collect();
-    for (i, line) in lines.iter().enumerate() {
-        match parse_line(line) {
-            Ok(event) => events.push(event),
-            Err(_) => return Ok((events, lines.len() - i)),
-        }
-    }
-    Ok((events, 0))
+    framed::replay(JOB_EVENT, path)
 }
 
 /// Folds an event sequence into the job table. Events referencing an id
@@ -356,7 +284,7 @@ impl JobJournal {
     /// Returns [`MceError::Io`] when the write or sync fails; the
     /// journal may then hold a torn line, which replay tail-drops.
     pub fn append(&self, event: &JobEvent) -> Result<(), MceError> {
-        let line = frame_line(event)?;
+        let line = framed::encode(JOB_EVENT, event)?;
         let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         let ctx = || format!("append journal {}", self.path.display());
         file.write_all(line.as_bytes())
@@ -402,9 +330,48 @@ mod tests {
             JobEvent::Done { id: 1 },
         ];
         for event in &events {
-            let line = frame_line(event).unwrap();
+            let line = framed::encode(JOB_EVENT, event).unwrap();
             assert!(line.ends_with('\n'));
-            assert_eq!(&parse_line(line.trim_end()).unwrap(), event);
+            let back: JobEvent = framed::decode(JOB_EVENT, line.trim_end()).unwrap();
+            assert_eq!(&back, event);
+        }
+    }
+
+    #[test]
+    fn journal_lines_stay_byte_identical_to_existing_journals() {
+        // Lines as written by the journal's original hand-rolled framer:
+        // existing serve directories must keep replaying, so the bytes of
+        // the schema-1 line may never drift.
+        let pinned = [
+            (
+                JobEvent::Started {
+                    id: 7,
+                    attempt: 2,
+                    pid: 4242,
+                },
+                concat!(
+                    r#"{"mce_job":1,"digest":"96878cbe50568b0e5bafa07d03673923","#,
+                    r#""event":{"Started":{"id":7,"attempt":2,"pid":4242}}}"#,
+                ),
+            ),
+            (
+                JobEvent::Failed {
+                    id: 3,
+                    error: "simulator error: \"x\"\n".to_owned(),
+                },
+                concat!(
+                    r#"{"mce_job":1,"digest":"794ab0de9f31f8f88e6b8904ce7f17ef","#,
+                    r#""event":{"Failed":{"id":3,"error":"simulator error: \"x\"\n"}}}"#,
+                ),
+            ),
+        ];
+        for (event, line) in pinned {
+            assert_eq!(
+                framed::encode(JOB_EVENT, &event).unwrap(),
+                format!("{line}\n")
+            );
+            let back: JobEvent = framed::decode(JOB_EVENT, line).unwrap();
+            assert_eq!(back, event);
         }
     }
 

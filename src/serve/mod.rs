@@ -39,12 +39,13 @@ pub mod journal;
 
 pub use client::Client;
 pub use daemon::{run_daemon, ServeConfig};
-pub use journal::{replay, JobEvent, JobJournal, JobRecord, JobSpec, JobState, JOURNAL_SCHEMA};
+pub use journal::{replay, JobEvent, JobJournal, JobRecord, JobSpec, JobState};
 
 use std::path::{Path, PathBuf};
 
-/// Version of the serve-directory layout (journal header key
-/// `"mce_job"`, status file key `"serve_schema"`).
+/// Version of the daemon's status documents (`serve.json` key
+/// `"serve_schema"`, `/healthz` key `"schema"`). The journal's schema is
+/// [`crate::framed::JOB_EVENT`]'s.
 pub const SERVE_SCHEMA: u64 = 1;
 
 // ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@
 //! [`ExplorationSession::arch_range`]: crate::session::ExplorationSession::arch_range
 //! [`RunReport`]: crate::report::RunReport
 
-use crate::checkpoint::{config_digest, fnv128};
+use crate::checkpoint::{config_digest, registry_snapshot};
+use crate::framed::{self, MANIFEST, SHARD};
 use crate::report::RunReport;
 use crate::session::ExplorationSession;
 use mce_apex::{ApexConfig, ApexExplorer};
@@ -61,12 +62,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Version of the lease-manifest layout (`manifest.json` header key
-/// `"mce_manifest"`).
-pub const MANIFEST_SCHEMA: u64 = 1;
-/// Version of the worker-shard layout (`lease-N.shard.json` header key
-/// `"mce_shard"`).
-pub const SHARD_SCHEMA: u64 = 1;
 /// Version of the supervisor's live summary (`swarm.json`, first key
 /// `"swarm_schema"`), aggregated by `mce top <dir>`.
 pub const SWARM_STATUS_SCHEMA: u64 = 1;
@@ -118,49 +113,6 @@ pub fn worker_status_path(dir: &Path, slot: usize) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------------
-// Digest-framed files (manifest + shard)
-// ---------------------------------------------------------------------------
-
-/// Frames `body` with the one-line digest header the checkpoint format
-/// established: readers verify before trusting a single byte.
-fn frame(tag: &str, body: &str) -> String {
-    format!(
-        "{{\"{tag}\":1,\"digest\":\"{}\"}}\n{body}",
-        fnv128(body.as_bytes())
-    )
-}
-
-/// Verifies the digest header and returns the body, or a typed error
-/// naming what was wrong — corruption is never silently absorbed.
-fn unframe<'a>(tag: &str, what: &str, text: &'a str) -> Result<&'a str, MceError> {
-    let (header, body) = text
-        .split_once('\n')
-        .ok_or_else(|| MceError::checkpoint(format!("{what}: missing digest header")))?;
-    let doc = obs::json::parse(header)
-        .map_err(|e| MceError::checkpoint(format!("{what}: corrupt digest header: {e}")))?;
-    match doc.get(tag).and_then(Value::as_u64) {
-        Some(1) => {}
-        found => {
-            return Err(MceError::schema_version(
-                what.to_owned(),
-                found.map_or_else(|| "none".to_owned(), |v| v.to_string()),
-                1,
-            ))
-        }
-    }
-    let digest = doc
-        .get("digest")
-        .and_then(Value::as_str)
-        .ok_or_else(|| MceError::checkpoint(format!("{what}: digest header carries no digest")))?;
-    if digest != fnv128(body.as_bytes()) {
-        return Err(MceError::checkpoint(format!(
-            "{what}: digest mismatch — the file is corrupt or truncated"
-        )));
-    }
-    Ok(body)
-}
-
-// ---------------------------------------------------------------------------
 // Lease manifest
 // ---------------------------------------------------------------------------
 
@@ -192,14 +144,12 @@ pub struct Lease {
     pub attempts: u32,
 }
 
-/// The digest-framed record of how a swarm run partitioned its work —
-/// `manifest.json` in the swarm directory. Rewritten atomically on every
-/// lease transition, so an observer (or a post-mortem) always sees a
-/// coherent partition.
+/// The record of how a swarm run partitioned its work — a
+/// [`framed::MANIFEST`] document, `manifest.json` in the swarm directory.
+/// Rewritten atomically on every lease transition, so an observer (or a
+/// post-mortem) always sees a coherent partition.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LeaseManifest {
-    /// [`MANIFEST_SCHEMA`].
-    pub schema: u64,
     /// Canonical digest of the workload being explored.
     pub workload_digest: String,
     /// Configuration digest shared by every lease (the base digest,
@@ -214,28 +164,18 @@ pub struct LeaseManifest {
 }
 
 impl LeaseManifest {
-    /// Serializes as the digest-framed manifest document.
-    pub fn to_json(&self) -> Result<String, MceError> {
-        let body =
-            serde_json::to_string_pretty(self).map_err(|e| MceError::json("lease manifest", e))?;
-        Ok(frame("mce_manifest", &body))
+    /// Atomically writes the manifest to `path`.
+    pub fn save(&self, path: &Path) -> Result<(), MceError> {
+        framed::save(MANIFEST, path, self)
     }
 
-    /// Parses and validates a manifest: digest verified, schema checked,
-    /// leases required to partition `0..total_archs` contiguously in id
-    /// order. A manifest that fails any check is rejected whole — a
-    /// bit-flipped range must never silently re-aim a worker.
-    pub fn from_json(text: &str) -> Result<Self, MceError> {
-        let body = unframe("mce_manifest", "lease manifest", text)?;
-        let m: LeaseManifest = serde_json::from_str(body)
-            .map_err(|e| MceError::checkpoint(format!("lease manifest: invalid body: {e}")))?;
-        if m.schema != MANIFEST_SCHEMA {
-            return Err(MceError::schema_version(
-                "lease manifest".to_owned(),
-                m.schema.to_string(),
-                MANIFEST_SCHEMA,
-            ));
-        }
+    /// Loads and validates the manifest at `path`: the frame verified,
+    /// then the leases required to partition `0..total_archs`
+    /// contiguously in id order. A manifest that fails any check is
+    /// rejected whole — a bit-flipped range must never silently re-aim a
+    /// worker.
+    pub fn load(path: &Path) -> Result<Self, MceError> {
+        let m: LeaseManifest = framed::load(MANIFEST, path)?;
         let mut cursor = 0usize;
         for (i, lease) in m.leases.iter().enumerate() {
             if lease.id != i || lease.start != cursor || lease.end <= lease.start {
@@ -254,18 +194,6 @@ impl LeaseManifest {
             )));
         }
         Ok(m)
-    }
-
-    /// Atomically writes the manifest to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), MceError> {
-        atomic_write(path, self.to_json()?.as_bytes())
-    }
-
-    /// Loads and validates the manifest at `path`.
-    pub fn load(path: &Path) -> Result<Self, MceError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| MceError::io(format!("read lease manifest {}", path.display()), e))?;
-        Self::from_json(&text)
     }
 }
 
@@ -356,23 +284,11 @@ pub fn backoff_after(restarts: u32, base: Duration, cap: Duration) -> Duration {
 // Worker shards
 // ---------------------------------------------------------------------------
 
-/// One named registry value. (A named struct, not a tuple, so the shard
-/// body stays schema-evolvable and unambiguous in JSON.)
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NamedMetric {
-    /// Metric name, e.g. `conex.candidates_enumerated`.
-    pub name: String,
-    /// Final value in the worker's registry.
-    pub value: u64,
-}
-
 /// What one completed lease ships back to the supervisor: the
 /// per-architecture Phase-I slices plus the worker's final
-/// counter/gauge registries. Digest-framed like the manifest.
+/// counter/gauge registries — a [`framed::SHARD`] document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerShard {
-    /// [`SHARD_SCHEMA`].
-    pub schema: u64,
     /// Canonical digest of the workload the worker explored.
     pub workload_digest: String,
     /// Base configuration digest (no `|range:` suffix) — must match the
@@ -386,32 +302,22 @@ pub struct WorkerShard {
     pub end: usize,
     /// One slice per architecture in `start..end`, global indices.
     pub archs: Vec<ArchSlice>,
-    /// The worker's final counter registry.
-    pub counters: Vec<NamedMetric>,
-    /// The worker's final gauge registry.
-    pub gauges: Vec<NamedMetric>,
+    /// The worker's final counter registry, `(name, value)`.
+    pub counters: Vec<(String, u64)>,
+    /// The worker's final gauge registry, `(name, value)`.
+    pub gauges: Vec<(String, u64)>,
 }
 
 impl WorkerShard {
-    /// Serializes as the digest-framed shard document.
-    pub fn to_json(&self) -> Result<String, MceError> {
-        let body = serde_json::to_string(self).map_err(|e| MceError::json("worker shard", e))?;
-        Ok(frame("mce_shard", &body))
+    /// Atomically writes the shard to `path`.
+    pub fn save(&self, path: &Path) -> Result<(), MceError> {
+        framed::save(SHARD, path, self)
     }
 
-    /// Parses and validates a shard: digest verified, schema checked,
-    /// and the slices required to cover `start..end` exactly once.
-    pub fn from_json(text: &str) -> Result<Self, MceError> {
-        let body = unframe("mce_shard", "worker shard", text)?;
-        let s: WorkerShard = serde_json::from_str(body)
-            .map_err(|e| MceError::checkpoint(format!("worker shard: invalid body: {e}")))?;
-        if s.schema != SHARD_SCHEMA {
-            return Err(MceError::schema_version(
-                "worker shard".to_owned(),
-                s.schema.to_string(),
-                SHARD_SCHEMA,
-            ));
-        }
+    /// Loads and validates the shard at `path`: the frame verified, then
+    /// the slices required to cover `start..end` exactly once.
+    pub fn load(path: &Path) -> Result<Self, MceError> {
+        let s: WorkerShard = framed::load(SHARD, path)?;
         if s.start >= s.end || s.archs.len() != s.end - s.start {
             return Err(MceError::checkpoint(format!(
                 "worker shard: lease {} claims {}..{} but carries {} slices",
@@ -439,18 +345,6 @@ impl WorkerShard {
             }
         }
         Ok(s)
-    }
-
-    /// Atomically writes the shard to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), MceError> {
-        atomic_write(path, self.to_json()?.as_bytes())
-    }
-
-    /// Loads and validates the shard at `path`.
-    pub fn load(path: &Path) -> Result<Self, MceError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| MceError::io(format!("read worker shard {}", path.display()), e))?;
-        Self::from_json(&text)
     }
 }
 
@@ -566,25 +460,12 @@ pub fn run_lease(
     let archs = result
         .arch_slices
         .ok_or_else(|| MceError::checkpoint("lease run captured no architecture slices"))?;
-    let named = |entries: Vec<(&'static str, u64)>| {
-        entries
-            .into_iter()
-            .map(|(name, value)| NamedMetric {
-                name: name.to_owned(),
-                value,
-            })
-            .collect()
-    };
     let (counters, gauges) = if obs::tracing_enabled() {
-        (
-            named(obs::counters_snapshot()),
-            named(obs::gauges_snapshot()),
-        )
+        registry_snapshot()
     } else {
-        (Vec::new(), Vec::new())
+        Default::default()
     };
     let shard = WorkerShard {
-        schema: SHARD_SCHEMA,
         workload_digest: workload_digest(workload).to_hex(),
         config_digest: base_config_digest(preset),
         lease: spec.lease,
@@ -735,25 +616,27 @@ struct Slot {
     backoff_until: Option<Instant>,
 }
 
-struct SwarmLog {
+/// An append-only run log (`swarm.log`, `serve.log`): one
+/// `[<ms since open> ms] <msg>` line per event, flushed as written.
+pub(crate) struct RunLog {
     file: std::fs::File,
     started: Instant,
 }
 
-impl SwarmLog {
-    fn open(path: &Path) -> Result<Self, MceError> {
+impl RunLog {
+    pub(crate) fn open(path: &Path) -> Result<Self, MceError> {
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
-            .map_err(|e| MceError::io(format!("open swarm log {}", path.display()), e))?;
-        Ok(SwarmLog {
+            .map_err(|e| MceError::io(format!("open log {}", path.display()), e))?;
+        Ok(RunLog {
             file,
             started: Instant::now(),
         })
     }
 
-    fn line(&mut self, msg: &str) {
+    pub(crate) fn line(&mut self, msg: &str) {
         let ms = self.started.elapsed().as_millis();
         let _ = writeln!(self.file, "[{ms:>7} ms] {msg}");
         let _ = self.file.flush();
@@ -784,7 +667,7 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
     std::fs::create_dir_all(&cfg.dir)
         .map_err(|e| MceError::io(format!("create swarm dir {}", cfg.dir.display()), e))?;
     sweep_stale_tmps(manifest_path(&cfg.dir));
-    let mut log = SwarmLog::open(&log_path(&cfg.dir))?;
+    let mut log = RunLog::open(&log_path(&cfg.dir))?;
     let w_digest = workload_digest(&cfg.workload).to_hex();
     let apex_cfg = ApexConfig::preset(cfg.preset);
     let conex_cfg = ConexConfig::preset(cfg.preset);
@@ -799,21 +682,10 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
         apex_cfg.trace_len.max(conex_cfg.trace_len),
     ));
     let apex = ApexExplorer::new(apex_cfg.clone()).explore_with_blocks(&cfg.workload, &blocks);
-    let own_apex: Vec<(String, u64)> = if obs::tracing_enabled() {
-        obs::counters_snapshot()
-            .into_iter()
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect()
+    let (own_apex, own_apex_gauges) = if obs::tracing_enabled() {
+        registry_snapshot()
     } else {
-        Vec::new()
-    };
-    let own_apex_gauges: Vec<(String, u64)> = if obs::tracing_enabled() {
-        obs::gauges_snapshot()
-            .into_iter()
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect()
-    } else {
-        Vec::new()
+        Default::default()
     };
     let mem_archs = apex.selected();
     let total = mem_archs.len();
@@ -822,7 +694,6 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
         .unwrap_or_else(|| (2 * cfg.workers).max(cfg.workers))
         .max(1);
     let mut manifest = LeaseManifest {
-        schema: MANIFEST_SCHEMA,
         workload_digest: w_digest.clone(),
         config_digest: c_digest.clone(),
         workers: cfg.workers,
@@ -1140,12 +1011,12 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
     let mut gauge_maxes: BTreeMap<String, u64> = BTreeMap::new();
     for lease in &manifest.leases {
         let shard = load_checked_shard(&cfg.dir, lease, &w_digest, &c_digest)?;
-        for m in shard.counters {
-            *counter_sums.entry(m.name).or_insert(0) += m.value;
+        for (name, value) in shard.counters {
+            *counter_sums.entry(name).or_insert(0) += value;
         }
-        for m in shard.gauges {
-            let slot = gauge_maxes.entry(m.name).or_insert(0);
-            *slot = (*slot).max(m.value);
+        for (name, value) in shard.gauges {
+            let slot = gauge_maxes.entry(name).or_insert(0);
+            *slot = (*slot).max(value);
         }
         slices.extend(shard.archs);
     }
@@ -1412,23 +1283,28 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_and_rejects_tampering() {
+        let path = std::env::temp_dir().join(format!("mce_manifest_{}.json", std::process::id()));
         let m = LeaseManifest {
-            schema: MANIFEST_SCHEMA,
             workload_digest: "w".repeat(32),
             config_digest: "c".repeat(32),
             workers: 3,
             total_archs: 5,
             leases: partition_leases(5, 3),
         };
-        let text = m.to_json().unwrap();
-        assert_eq!(LeaseManifest::from_json(&text).unwrap(), m);
-        // One flipped byte in the body breaks the digest.
-        let tampered = text.replacen("\"total_archs\": 5", "\"total_archs\": 6", 1);
-        assert!(LeaseManifest::from_json(&tampered).is_err());
+        m.save(&path).unwrap();
+        assert_eq!(LeaseManifest::load(&path).unwrap(), m);
+        // One changed byte in the body breaks the digest.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let tampered = text.replacen("\"total_archs\":5", "\"total_archs\":6", 1);
+        assert_ne!(tampered, text);
+        std::fs::write(&path, tampered).unwrap();
+        assert!(LeaseManifest::load(&path).is_err());
         // A non-partition is rejected even when correctly framed.
         let mut holey = m.clone();
         holey.leases[1].start += 1;
-        let err = LeaseManifest::from_json(&holey.to_json().unwrap()).unwrap_err();
+        holey.save(&path).unwrap();
+        let err = LeaseManifest::load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
         assert!(err.to_string().contains("partition"), "{err}");
     }
 
