@@ -125,9 +125,9 @@
 //! crashed or stalled workers, restarts them with exponential backoff
 //! (up to `--restart-budget`), reassigns a dead worker's lease to a
 //! survivor — which resumes through the lease checkpoint — and finally
-//! merges the shards into one run report byte-identical (up to
-//! `wall_clock` and the effort metrics `mce diff` masks) to a serial
-//! run's. If every worker slot retires, the supervisor finishes the
+//! replays the serial ConEx pass over the merged lease caches, giving a
+//! run report byte-identical (up to `wall_clock` and the effort metrics
+//! `mce diff` masks) to a serial run's. If every worker slot retires, the supervisor finishes the
 //! remaining leases inline; the run still completes. See the module docs
 //! on `memory_conex::swarm` for the full protocol.
 //!
@@ -854,7 +854,8 @@ fn write_experiment_log(out_dir: &str, w: &Workload, scale: Preset, summary: &st
 /// Phase-I space into leases, spawns `-j` worker subprocesses (each a
 /// hidden `mce swarm-worker` invocation), supervises them — heartbeat
 /// staleness, crash restarts with exponential backoff, lease stealing,
-/// inline fallback — and merges their shards into one run report.
+/// inline fallback — and merges their lease caches into one run report
+/// through a serial ConEx pass.
 ///
 /// Exit-code contract: 0 = completed with every lease run by a worker
 /// (or drained cleanly by SIGINT/SIGTERM with resumable state on
@@ -1005,9 +1006,9 @@ fn cmd_swarm(args: &[String]) -> Result<u8, CliError> {
 
 /// `mce swarm-worker` (internal): one lease of a swarm run. Spawned by
 /// `cmd_swarm`; explores `--range LO:HI` with a per-lease checkpoint,
-/// cache spill, heartbeat and live status, and writes the lease shard
-/// the supervisor merges. Exit 0 plus a digest-valid shard is the only
-/// thing the supervisor trusts.
+/// cache spill, heartbeat and live status, then writes the lease's
+/// receipt shard. Exit 0 plus a digest-valid shard is the only thing
+/// the supervisor trusts.
 fn cmd_swarm_worker(args: &[String]) -> Result<(), CliError> {
     let w = load_workload(args)?;
     let scale: Preset = flag_value(args, "--preset").unwrap_or("fast").parse()?;
@@ -1034,8 +1035,8 @@ fn cmd_swarm_worker(args: &[String]) -> Result<(), CliError> {
     )?
     .unwrap_or(200);
     let dir = flag_value(args, "--dir").ok_or("swarm-worker needs --dir DIR")?;
-    // Registries must collect even without any sink: the shard carries
-    // this lease's counters and gauges back to the supervisor.
+    // Registries must collect even without any sink: the worker's live
+    // status carries this lease's counters and gauges to `mce top`.
     let obs_session = ObsSession::start(None, false, true);
     let outcome = swarm::run_lease(
         &w,

@@ -72,10 +72,10 @@ pub const MANIFEST: Kind = Kind {
     what: "lease manifest",
 };
 
-/// A swarm worker's result shard (`lease-N.shard.json`).
+/// A swarm worker's lease receipt (`lease-N.shard.json`).
 pub const SHARD: Kind = Kind {
     tag: "mce_shard",
-    schema: 2,
+    schema: 3,
     key: "shard",
     what: "worker shard",
 };

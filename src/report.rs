@@ -26,6 +26,7 @@
 //! assets) for `mce report`, and implements the tolerance comparison
 //! behind `mce bench-gate`.
 
+use crate::checkpoint::registry_snapshot;
 use mce_apex::ApexConfig;
 use mce_appmodel::Workload;
 use mce_conex::design_point::workload_digest;
@@ -244,14 +245,14 @@ impl RunReport {
         elapsed_s: f64,
         resumed: bool,
     ) -> Self {
-        let (budget_counters, counters) = if obs::tracing_enabled() {
-            obs::counters_snapshot()
-                .into_iter()
-                .map(|(name, v)| (name.to_owned(), v))
-                .partition(|(name, _)| name.starts_with("budget."))
+        let (counters, gauges) = if obs::tracing_enabled() {
+            registry_snapshot()
         } else {
-            (Vec::new(), Vec::new())
+            Default::default()
         };
+        let (budget_counters, counters) = counters
+            .into_iter()
+            .partition(|(name, _)| name.starts_with("budget."));
         RunReport {
             workload_name: workload.name().to_owned(),
             workload_digest: workload_digest(workload).to_hex(),
@@ -272,14 +273,7 @@ impl RunReport {
                 cache_capacity,
             },
             counters,
-            gauges: if obs::tracing_enabled() {
-                obs::gauges_snapshot()
-                    .into_iter()
-                    .map(|(name, v)| (name.to_owned(), v))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            gauges,
             eval_cache: CacheSummary::from_stats(cache_stats),
             pareto: ParetoSummary::from_result(conex),
             frontier_evolution: conex.frontier_evolution().to_vec(),
@@ -469,31 +463,15 @@ impl RunReport {
             ));
         }
         s.push_str("    \"timeseries\": {\n");
-        s.push_str(&series_channel(
-            "logical",
-            &self.wall_clock.timeseries_logical,
-        ));
+        let wc = &self.wall_clock;
+        s.push_str(&series_channel("logical", &wc.timeseries_logical, "      "));
         s.push_str(",\n");
-        s.push_str(&series_channel("wall", &self.wall_clock.timeseries_wall));
+        s.push_str(&series_channel("wall", &wc.timeseries_wall, "      "));
         s.push_str("\n    },\n");
-        let hists: Vec<String> = self
-            .wall_clock
+        let hists: Vec<String> = wc
             .histograms
             .iter()
-            .map(|(name, h)| {
-                format!(
-                    "      {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \
-                     \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                    escape_json(name),
-                    h.count,
-                    h.sum,
-                    h.min,
-                    h.max,
-                    h.p50,
-                    h.p90,
-                    h.p99
-                )
-            })
+            .map(|(name, h)| histogram_entry(name, h, "      "))
             .collect();
         if hists.is_empty() {
             s.push_str("    \"histograms\": []\n");
@@ -623,7 +601,7 @@ fn provenance_section(archs: &[ArchProvenance]) -> String {
 
 /// Converts a borrowed time-series snapshot into the owned
 /// `(name, [(at, value)])` form the report stores.
-fn owned_series(
+pub(crate) fn owned_series(
     series: Vec<(&'static str, Vec<obs::SeriesPoint>)>,
 ) -> Vec<(String, Vec<(u64, u64)>)> {
     series
@@ -637,11 +615,17 @@ fn owned_series(
         .collect()
 }
 
-/// One time-series channel as `"key": {"name": [[at, value], ...]}`, at
-/// the `wall_clock.timeseries` nesting depth (no trailing comma).
-fn series_channel(key: &str, series: &[(String, Vec<(u64, u64)>)]) -> String {
+/// One time-series channel as `"key": {"name": [[at, value], ...]}` at
+/// `indent` (no trailing comma) — the layout both the report's
+/// `wall_clock.timeseries` and the live-status `series` use, so `mce top`
+/// reads them the same way.
+pub(crate) fn series_channel(
+    key: &str,
+    series: &[(String, Vec<(u64, u64)>)],
+    indent: &str,
+) -> String {
     if series.is_empty() {
-        return format!("      \"{key}\": {{}}");
+        return format!("{indent}\"{key}\": {{}}");
     }
     let lines: Vec<String> = series
         .iter()
@@ -650,15 +634,32 @@ fn series_channel(key: &str, series: &[(String, Vec<(u64, u64)>)]) -> String {
                 .iter()
                 .map(|(at, value)| format!("[{at}, {value}]"))
                 .collect();
-            format!("        \"{}\": [{}]", escape_json(name), pts.join(", "))
+            format!("{indent}  \"{}\": [{}]", escape_json(name), pts.join(", "))
         })
         .collect();
-    format!("      \"{key}\": {{\n{}\n      }}", lines.join(",\n"))
+    format!("{indent}\"{key}\": {{\n{}\n{indent}}}", lines.join(",\n"))
+}
+
+/// One histogram summary as a single-line JSON object at `indent` (no
+/// trailing comma).
+pub(crate) fn histogram_entry(name: &str, h: &HistogramSummary, indent: &str) -> String {
+    format!(
+        "{indent}{{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \
+         \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
+        escape_json(name),
+        h.count,
+        h.sum,
+        h.min,
+        h.max,
+        h.p50,
+        h.p90,
+        h.p99
+    )
 }
 
 /// Renders a `[(name, value)]` list as one pretty-printed JSON object
 /// line block under `key`, with a trailing comma.
-fn named_u64_object(key: &str, entries: &[(String, u64)]) -> String {
+pub(crate) fn named_u64_object(key: &str, entries: &[(String, u64)]) -> String {
     if entries.is_empty() {
         return format!("  \"{key}\": {{}},\n");
     }
@@ -673,7 +674,7 @@ fn named_u64_object(key: &str, entries: &[(String, u64)]) -> String {
 /// token (`Display` already never produces exponents for our ranges, but
 /// integral values need the `.0` stripped consistently — `Display` does
 /// that for us; non-finite values clamp to 0).
-fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

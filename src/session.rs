@@ -31,9 +31,7 @@ use mce_budget::{Bounds, CancelToken, EvalBudget, Watchdog};
 use mce_conex::design_point::workload_digest;
 use mce_conex::eval_cache::DEFAULT_CAPACITY;
 use mce_conex::explore::Phase1State;
-use mce_conex::{
-    ArchSlice, CacheStats, ConexConfig, ConexExplorer, ConexResult, EvalCache, EvalEngine,
-};
+use mce_conex::{CacheStats, ConexConfig, ConexExplorer, ConexResult, EvalCache, EvalEngine};
 use mce_connlib::ConnectivityLibrary;
 use mce_error::{atomic_write, sweep_stale_tmps, MceError};
 use mce_sim::Preset;
@@ -76,7 +74,6 @@ pub struct ExplorationSession {
     metrics_out: Option<PathBuf>,
     explain: bool,
     arch_range: Option<(usize, usize)>,
-    capture_slices: bool,
 }
 
 /// Everything one session run produced.
@@ -102,15 +99,6 @@ pub struct SessionResult {
     /// bit-identical to uninterrupted ones; this only records how the
     /// run got there.
     pub resumed: bool,
-    /// Per-architecture Phase-I slices, captured when
-    /// [`ExplorationSession::capture_slices`] is on (`None` otherwise).
-    /// Each slice carries its *global* architecture index — offset by
-    /// the start of an [`ExplorationSession::arch_range`] — so slices
-    /// from ranged runs over disjoint ranges reassemble into the serial
-    /// Phase-I state with [`mce_conex::merge_arch_slices`]. A resumed
-    /// run re-captures the replayed architectures' slices from the
-    /// restored cache, so the set is complete either way.
-    pub arch_slices: Option<Vec<ArchSlice>>,
 }
 
 impl ExplorationSession {
@@ -137,7 +125,6 @@ impl ExplorationSession {
             metrics_out: None,
             explain: false,
             arch_range: None,
-            capture_slices: false,
         }
     }
 
@@ -341,10 +328,9 @@ impl ExplorationSession {
     /// every ranged session over the same workload and configuration
     /// sees the same global order — then explores only its slice
     /// through both phases. This is the unit of work a swarm lease
-    /// claims: disjoint ranges partition the run, and their captured
-    /// [`ArchSlice`]s (see
-    /// [`capture_slices`](ExplorationSession::capture_slices)) merge
-    /// back into the serial result.
+    /// claims: disjoint ranges partition the run, and their
+    /// [`eval_cache_file`](ExplorationSession::eval_cache_file) spills
+    /// together answer every evaluation of the serial run.
     ///
     /// The range is appended to the configuration digest, so a ranged
     /// checkpoint can only resume the same lease — never leak into a
@@ -355,17 +341,6 @@ impl ExplorationSession {
     #[must_use]
     pub fn arch_range(mut self, start: usize, end: usize) -> Self {
         self.arch_range = Some((start, end));
-        self
-    }
-
-    /// Captures each Phase-I architecture's estimate cloud and local
-    /// shortlist as an [`ArchSlice`] in
-    /// [`SessionResult::arch_slices`]. Off by default (the slices
-    /// duplicate data already in the result); swarm workers turn it on
-    /// to ship their shard back to the supervisor.
-    #[must_use]
-    pub fn capture_slices(mut self, capture: bool) -> Self {
-        self.capture_slices = capture;
         self
     }
 
@@ -458,7 +433,7 @@ impl ExplorationSession {
         let explorer = ConexExplorer::with_library(self.conex.clone(), self.library.clone())
             .with_explain(self.explain);
         let mem_archs = apex.selected();
-        let (range_base, mem_archs) = match self.arch_range {
+        let mem_archs = match self.arch_range {
             Some((lo, hi)) => {
                 if lo >= hi || hi > mem_archs.len() {
                     return Err(MceError::invalid_input(format!(
@@ -467,14 +442,10 @@ impl ExplorationSession {
                         mem_archs.len()
                     )));
                 }
-                (lo, mem_archs[lo..hi].to_vec())
+                mem_archs[lo..hi].to_vec()
             }
-            None => (0, mem_archs),
+            None => mem_archs,
         };
-        // Slice capture: each committed architecture's contribution is
-        // the delta the boundary state grew by since the previous one.
-        let mut slices: Option<Vec<ArchSlice>> = self.capture_slices.then(Vec::new);
-        let mut seen = (0usize, 0usize); // (estimated, shortlist) committed so far
         let state = match &resume {
             Some(ck) => {
                 // Design points are not persisted; replay the completed
@@ -493,22 +464,7 @@ impl ExplorationSession {
                         budget: budget.clone(),
                         ..Bounds::none()
                     });
-                let state = explorer.phase1_partial_with(
-                    &scratch_engine,
-                    &mem_archs,
-                    ck.archs_done,
-                    &mut |s| {
-                        if let Some(out) = &mut slices {
-                            out.push(ArchSlice {
-                                arch: range_base + s.archs_done - 1,
-                                estimated: s.estimated[seen.0..].to_vec(),
-                                shortlist: s.shortlist[seen.1..].to_vec(),
-                            });
-                        }
-                        seen = (s.estimated.len(), s.shortlist.len());
-                        Ok(())
-                    },
-                )?;
+                let state = explorer.phase1_partial(&scratch_engine, &mem_archs, ck.archs_done)?;
                 if state.frontier_evolution != ck.frontier {
                     return Err(MceError::checkpoint(
                         "replayed frontier diverges from the checkpointed one — the \
@@ -573,14 +529,6 @@ impl ExplorationSession {
         let mut last_state = state.clone();
         let mut after_arch = |s: &Phase1State| -> Result<(), MceError> {
             last_state = s.clone();
-            if let Some(out) = &mut slices {
-                out.push(ArchSlice {
-                    arch: range_base + s.archs_done - 1,
-                    estimated: s.estimated[seen.0..].to_vec(),
-                    shortlist: s.shortlist[seen.1..].to_vec(),
-                });
-            }
-            seen = (s.estimated.len(), s.shortlist.len());
             if let Some(path) = &ck_path {
                 if s.archs_done.is_multiple_of(every) || s.archs_done == total {
                     Checkpoint::capture(w_digest.clone(), c_digest.clone(), s, &ck_cache)
@@ -639,7 +587,6 @@ impl ExplorationSession {
             cache_stats,
             report,
             resumed,
-            arch_slices: slices,
         })
     }
 }

@@ -3,10 +3,14 @@
 //! A swarm run partitions the Phase-I architecture space into contiguous
 //! **leases**, spawns N worker subprocesses that each run the existing
 //! bounded, checkpointed exploration over their claimed range
-//! ([`ExplorationSession::arch_range`]), and merges the workers' shards
-//! back into one [`RunReport`] that is byte-identical (up to its
-//! `wall_clock` section and the effort metrics `mce diff` already
-//! masks) to a single-process run of the same workload and preset.
+//! ([`ExplorationSession::arch_range`]) and spills its evaluation cache.
+//! The merge is one ordinary serial ConEx pass over the union of those
+//! spills: every Phase-I estimate and Phase-II simulation is a cache
+//! hit, so the [`RunReport`] is byte-identical (up to its `wall_clock`
+//! section and the effort metrics `mce diff` already masks) to a
+//! single-process run of the same workload and preset by construction.
+//! A lease's shard is only a receipt — which lease, for which workload
+//! and configuration — that the supervisor verifies once.
 //!
 //! The robustness contract, in order of line of defense:
 //!
@@ -28,8 +32,8 @@
 //!    own process; the run still completes and still merges clean.
 //!
 //! Everything the supervisor learns is observable: `swarm.restarts`,
-//! `swarm.leases_stolen` and `swarm.backoff_ms` counters flow through
-//! the merged report (masked as effort metrics in `mce diff`), the
+//! `swarm.leases_stolen` and `swarm.backoff_ms` counters flow into the
+//! merged report (masked as effort metrics in `mce diff`), the
 //! lease manifest and per-worker live-status files land in the swarm
 //! directory (`mce top <dir>` aggregates them), and every supervision
 //! event is appended to `swarm.log`.
@@ -37,7 +41,7 @@
 //! [`ExplorationSession::arch_range`]: crate::session::ExplorationSession::arch_range
 //! [`RunReport`]: crate::report::RunReport
 
-use crate::checkpoint::{config_digest, registry_snapshot};
+use crate::checkpoint::{config_digest, registry_snapshot, NamedValues};
 use crate::framed::{self, MANIFEST, SHARD};
 use crate::report::RunReport;
 use crate::session::ExplorationSession;
@@ -45,16 +49,15 @@ use mce_apex::{ApexConfig, ApexExplorer};
 use mce_appmodel::{TraceBlocks, Workload};
 use mce_conex::design_point::workload_digest;
 use mce_conex::eval_cache::DEFAULT_CAPACITY;
-use mce_conex::{
-    merge_arch_slices, ArchSlice, ConexConfig, ConexExplorer, ConexResult, EvalCache, EvalEngine,
-};
+use mce_conex::explore::Phase1State;
+use mce_conex::{ConexConfig, ConexExplorer, ConexResult, EvalCache, EvalEngine};
 use mce_connlib::ConnectivityLibrary;
 use mce_error::{atomic_write, sweep_stale_tmps, MceError};
 use mce_obs as obs;
 use mce_obs::json::Value;
 use mce_sim::Preset;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -123,7 +126,7 @@ pub enum LeaseState {
     Pending,
     /// Claimed — a worker (or the supervisor, inline) is exploring it.
     Running,
-    /// Its shard landed and verified.
+    /// Its receipt shard landed and verified.
     Done,
 }
 
@@ -284,15 +287,15 @@ pub fn backoff_after(restarts: u32, base: Duration, cap: Duration) -> Duration {
 // Worker shards
 // ---------------------------------------------------------------------------
 
-/// What one completed lease ships back to the supervisor: the
-/// per-architecture Phase-I slices plus the worker's final
-/// counter/gauge registries — a [`framed::SHARD`] document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The receipt one completed lease leaves behind — a [`framed::SHARD`]
+/// document naming the lease and the workload and configuration it ran
+/// under. The results themselves travel in the lease's cache spill.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerShard {
     /// Canonical digest of the workload the worker explored.
     pub workload_digest: String,
     /// Base configuration digest (no `|range:` suffix) — must match the
-    /// supervisor's, or the shard merges garbage.
+    /// supervisor's, or the lease's cache spill answers a different run.
     pub config_digest: String,
     /// The lease this shard settles.
     pub lease: usize,
@@ -300,12 +303,6 @@ pub struct WorkerShard {
     pub start: usize,
     /// One past the last covered index.
     pub end: usize,
-    /// One slice per architecture in `start..end`, global indices.
-    pub archs: Vec<ArchSlice>,
-    /// The worker's final counter registry, `(name, value)`.
-    pub counters: Vec<(String, u64)>,
-    /// The worker's final gauge registry, `(name, value)`.
-    pub gauges: Vec<(String, u64)>,
 }
 
 impl WorkerShard {
@@ -314,37 +311,9 @@ impl WorkerShard {
         framed::save(SHARD, path, self)
     }
 
-    /// Loads and validates the shard at `path`: the frame verified, then
-    /// the slices required to cover `start..end` exactly once.
+    /// Loads the shard at `path`, its frame verified.
     pub fn load(path: &Path) -> Result<Self, MceError> {
-        let s: WorkerShard = framed::load(SHARD, path)?;
-        if s.start >= s.end || s.archs.len() != s.end - s.start {
-            return Err(MceError::checkpoint(format!(
-                "worker shard: lease {} claims {}..{} but carries {} slices",
-                s.lease,
-                s.start,
-                s.end,
-                s.archs.len()
-            )));
-        }
-        let mut seen = vec![false; s.end - s.start];
-        for a in &s.archs {
-            let covered = a
-                .arch
-                .checked_sub(s.start)
-                .and_then(|i| seen.get_mut(i))
-                .filter(|taken| !**taken);
-            match covered {
-                Some(taken) => *taken = true,
-                None => {
-                    return Err(MceError::checkpoint(format!(
-                        "worker shard: slice {} is outside (or duplicated within) lease {}..{}",
-                        a.arch, s.start, s.end
-                    )))
-                }
-            }
-        }
-        Ok(s)
+        framed::load(SHARD, path)
     }
 }
 
@@ -405,16 +374,14 @@ impl HeartbeatThread {
     }
 }
 
-/// Runs one lease to completion and writes its shard: the worker
+/// Runs one lease to completion and writes its receipt shard: the worker
 /// subprocess's entire job, and the supervisor's inline fallback.
 ///
-/// The session runs with [`ExplorationSession::arch_range`] +
-/// [`ExplorationSession::capture_slices`], checkpoints to the lease's
-/// checkpoint file (so a successor resumes a dead claimant's progress)
-/// and spills its evaluation cache for the supervisor's merge. Before
-/// running, every non-`apex.`/`swarm.` registry entry is zeroed so the
-/// shard's registries describe exactly this lease — a no-op in a fresh
-/// worker process, essential for inline runs inside the supervisor.
+/// The session runs with [`ExplorationSession::arch_range`],
+/// checkpoints to the lease's checkpoint file (so a successor resumes a
+/// dead claimant's progress) and spills its evaluation cache — every
+/// estimate and full simulation of the lease — for the supervisor's
+/// merge. The shard is written last, once the spill is on disk.
 pub fn run_lease(
     workload: &Workload,
     preset: Preset,
@@ -422,23 +389,10 @@ pub fn run_lease(
     dir: &Path,
     spec: &LeaseRun,
 ) -> Result<(), MceError> {
-    if obs::tracing_enabled() {
-        for (name, _) in obs::counters_snapshot() {
-            if !name.starts_with("apex.") && !name.starts_with("swarm.") {
-                obs::counter_restore(name, 0);
-            }
-        }
-        for (name, _) in obs::gauges_snapshot() {
-            if !name.starts_with("apex.") && !name.starts_with("swarm.") {
-                obs::gauge_restore(name, 0);
-            }
-        }
-    }
     let mut session = ExplorationSession::new(workload.clone())
         .preset(preset)
         .threads(threads)
         .arch_range(spec.start, spec.end)
-        .capture_slices(true)
         .checkpoint_file(lease_checkpoint_path(dir, spec.lease))
         .eval_cache_file(lease_cache_path(dir, spec.lease));
     if let Some(slot) = spec.slot {
@@ -457,23 +411,12 @@ pub fn run_lease(
             "lease run was truncated — swarm leases must run unbounded",
         ));
     }
-    let archs = result
-        .arch_slices
-        .ok_or_else(|| MceError::checkpoint("lease run captured no architecture slices"))?;
-    let (counters, gauges) = if obs::tracing_enabled() {
-        registry_snapshot()
-    } else {
-        Default::default()
-    };
     let shard = WorkerShard {
         workload_digest: workload_digest(workload).to_hex(),
         config_digest: base_config_digest(preset),
         lease: spec.lease,
         start: spec.start,
         end: spec.end,
-        archs,
-        counters,
-        gauges,
     };
     shard.save(&shard_path(dir, spec.lease))
 }
@@ -651,6 +594,14 @@ impl RunLog {
     }
 }
 
+/// Supervision tallies, mirrored into the `swarm.*` counters.
+#[derive(Default)]
+struct Tally {
+    restarts: u64,
+    stolen: u64,
+    backoff_ms: u64,
+}
+
 /// Runs the full supervised exploration: partition, spawn, watch,
 /// restart, steal, and finally merge — returning the merged report, or
 /// [`SwarmRun::Interrupted`] when a termination signal (observed via
@@ -658,10 +609,10 @@ impl RunLog {
 ///
 /// # Errors
 ///
-/// Fails when the swarm directory cannot be prepared, when a shard is
-/// missing or corrupt at merge time, or when the merged state fails its
-/// coverage checks ([`merge_arch_slices`]) — the merge never papers
-/// over an incomplete partition.
+/// Fails when the swarm directory cannot be prepared, when an inline
+/// lease fails or leaves no valid shard, or when a lease's cache spill
+/// is missing or corrupt at merge time — the merge never papers over an
+/// incomplete partition.
 pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
     let start = Instant::now();
     std::fs::create_dir_all(&cfg.dir)
@@ -674,19 +625,15 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
     let library = ConnectivityLibrary::amba();
     let c_digest = config_digest(&apex_cfg, &conex_cfg, &library, DEFAULT_CAPACITY);
     // The supervisor runs APEX itself: selection is deterministic, and
-    // owning the selection means the lease partition, the merge order
-    // and the merged report's apex.* registries are all authoritative
-    // here rather than copied from a worker.
+    // owning the selection means the lease partition, the final pass and
+    // the merged report's apex.* registries are all authoritative here
+    // rather than copied from a worker.
     let blocks = Arc::new(TraceBlocks::compile(
         &cfg.workload,
         apex_cfg.trace_len.max(conex_cfg.trace_len),
     ));
     let apex = ApexExplorer::new(apex_cfg.clone()).explore_with_blocks(&cfg.workload, &blocks);
-    let (own_apex, own_apex_gauges) = if obs::tracing_enabled() {
-        registry_snapshot()
-    } else {
-        Default::default()
-    };
+    let post_apex = registry_snapshot();
     let mem_archs = apex.selected();
     let total = mem_archs.len();
     let lease_count = cfg
@@ -720,7 +667,7 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
     let mut last_owner: Vec<Option<usize>> = vec![None; manifest.leases.len()];
     let mut fault_pending = cfg.fault_worker.clone();
     let mut done = 0usize;
-    let (mut restarts, mut stolen, mut backoff_ms) = (0u64, 0u64, 0u64);
+    let mut tally = Tally::default();
     let mut inline_leases = 0usize;
     let poll = Duration::from_millis(100);
 
@@ -744,16 +691,7 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
                 }
             }
             manifest.save(&manifest_path(&cfg.dir))?;
-            publish_status(
-                cfg,
-                &manifest,
-                "interrupted",
-                done,
-                restarts,
-                stolen,
-                backoff_ms,
-                &slots,
-            );
+            publish_status(cfg, &manifest, "interrupted", done, &tally, &slots);
             log.line(&format!(
                 "swarm interrupted: {done}/{} leases done; \
                  rerun the same command to resume",
@@ -786,13 +724,8 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
             }
             let verdict = match child.try_wait() {
                 Ok(Some(status)) if status.success() => {
-                    match load_checked_shard(
-                        &cfg.dir,
-                        &manifest.leases[lease_id],
-                        &w_digest,
-                        &c_digest,
-                    ) {
-                        Ok(_) => Verdict::Done,
+                    match verify_shard(&cfg.dir, &manifest.leases[lease_id], &w_digest, &c_digest) {
+                        Ok(()) => Verdict::Done,
                         Err(e) => Verdict::Crashed(format!("exited 0 without a valid shard ({e})")),
                     }
                 }
@@ -836,30 +769,10 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
                 }
                 Verdict::Crashed(why) => {
                     log.line(&format!("worker {k}: lease {lease_id} crashed: {why}"));
-                    restarts += 1;
-                    obs::counter_add("swarm.restarts", 1);
-                    slot.restarts += 1;
                     manifest.leases[lease_id].state = LeaseState::Pending;
                     let _ = manifest.save(&manifest_path(&cfg.dir));
                     pending.push_back(lease_id);
-                    if slot.restarts > cfg.restart_budget {
-                        slot.state = SlotState::Retired;
-                        log.line(&format!(
-                            "worker {k}: retired after {} restarts (budget {})",
-                            slot.restarts, cfg.restart_budget
-                        ));
-                    } else {
-                        let delay = backoff_after(slot.restarts, cfg.backoff_base, cfg.backoff_cap);
-                        backoff_ms += delay.as_millis() as u64;
-                        obs::counter_add("swarm.backoff_ms", delay.as_millis() as u64);
-                        slot.backoff_until = Some(now + delay);
-                        slot.state = SlotState::Idle;
-                        log.line(&format!(
-                            "worker {k}: backing off {} ms before restart {}",
-                            delay.as_millis(),
-                            slot.restarts
-                        ));
-                    }
+                    charge_restart(cfg, k, slot, now, &mut tally, &mut log);
                 }
             }
         }
@@ -909,7 +822,7 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
                     }
                     if let Some(prev) = last_owner[lease_id] {
                         if prev != k {
-                            stolen += 1;
+                            tally.stolen += 1;
                             obs::counter_add("swarm.leases_stolen", 1);
                             log.line(&format!(
                                 "worker {k}: stealing lease {lease_id} from dead worker {prev}"
@@ -936,25 +849,14 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
                 Err(e) => {
                     log.line(&format!("worker {k}: spawn failed: {e}"));
                     pending.push_front(lease_id);
-                    restarts += 1;
-                    obs::counter_add("swarm.restarts", 1);
-                    slot.restarts += 1;
-                    if slot.restarts > cfg.restart_budget {
-                        slot.state = SlotState::Retired;
-                    } else {
-                        let delay = backoff_after(slot.restarts, cfg.backoff_base, cfg.backoff_cap);
-                        backoff_ms += delay.as_millis() as u64;
-                        obs::counter_add("swarm.backoff_ms", delay.as_millis() as u64);
-                        slot.backoff_until = Some(now + delay);
-                    }
+                    charge_restart(cfg, k, slot, now, &mut tally, &mut log);
                 }
             }
         }
         // Graceful degradation: every slot retired with work remaining —
-        // the supervisor becomes the worker of last resort. run_lease
-        // resets the non-apex/swarm registries per lease, and the merge
-        // below rebuilds them, so inline pollution cannot leak into the
-        // final report.
+        // the supervisor becomes the worker of last resort. Whatever the
+        // inline runs add to this process's registries is reset before
+        // the final pass, so it cannot leak into the report.
         let all_retired = slots.iter().all(|s| matches!(s.state, SlotState::Retired));
         if all_retired && !pending.is_empty() {
             while let Some(lease_id) = pending.pop_front() {
@@ -964,7 +866,7 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
                     lease.start, lease.end
                 ));
                 if last_owner[lease_id].is_some() {
-                    stolen += 1;
+                    tally.stolen += 1;
                     obs::counter_add("swarm.leases_stolen", 1);
                 }
                 manifest.leases[lease_id].state = LeaseState::Running;
@@ -983,6 +885,7 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
                         heartbeat_every: Duration::from_millis(200),
                     },
                 )?;
+                verify_shard(&cfg.dir, &lease, &w_digest, &c_digest)?;
                 manifest.leases[lease_id].state = LeaseState::Done;
                 let _ = manifest.save(&manifest_path(&cfg.dir));
                 done += 1;
@@ -993,37 +896,18 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
                 ));
             }
         }
-        publish_status(
-            cfg, &manifest, "running", done, restarts, stolen, backoff_ms, &slots,
-        );
+        publish_status(cfg, &manifest, "running", done, &tally, &slots);
         if done < manifest.leases.len() {
             std::thread::sleep(poll);
         }
     }
-    publish_status(
-        cfg, &manifest, "merging", done, restarts, stolen, backoff_ms, &slots,
-    );
-    log.line("all leases done; merging shards");
+    publish_status(cfg, &manifest, "merging", done, &tally, &slots);
+    log.line("all leases done; merging lease caches");
 
-    // ----- Merge: shards -> serial Phase-I state -> supervisor Phase II.
-    let mut slices: Vec<ArchSlice> = Vec::new();
-    let mut counter_sums: BTreeMap<String, u64> = BTreeMap::new();
-    let mut gauge_maxes: BTreeMap<String, u64> = BTreeMap::new();
-    for lease in &manifest.leases {
-        let shard = load_checked_shard(&cfg.dir, lease, &w_digest, &c_digest)?;
-        for (name, value) in shard.counters {
-            *counter_sums.entry(name).or_insert(0) += value;
-        }
-        for (name, value) in shard.gauges {
-            let slot = gauge_maxes.entry(name).or_insert(0);
-            *slot = (*slot).max(value);
-        }
-        slices.extend(shard.archs);
-    }
-    let merged = merge_arch_slices(&slices, total, conex_cfg.frontier_sample_every)?;
-    // The merged cache: every worker's spill, first-lease-first, keyed
-    // dedupe. Phase II below answers the whole shortlist from it — each
-    // lease's owner fully simulated its own shortlist points.
+    // ----- Merge: one serial ConEx pass over the union of the lease
+    // caches, first-lease-first with keyed dedupe. Each lease spilled
+    // every estimate and full simulation it made, so every evaluation
+    // of the pass is a cache hit and its result is the serial run's.
     let mut entries = Vec::new();
     let mut seen = HashSet::new();
     for lease in &manifest.leases {
@@ -1035,24 +919,22 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
         }
     }
     let cache = Arc::new(EvalCache::from_entries_fifo(entries, DEFAULT_CAPACITY));
-    log.line(&format!(
-        "shards merged: {} slices, {} cache entries",
-        slices.len(),
-        cache.len()
-    ));
-    restore_merged_registries(
-        &own_apex,
-        &own_apex_gauges,
-        &counter_sums,
-        &gauge_maxes,
-        &merged.frontier_evolution,
-    );
+    log.line(&format!("lease caches merged: {} entries", cache.len()));
+    reset_registries(&post_apex);
     let engine = EvalEngine::with_blocks(&cfg.workload, blocks).with_cache(cache.clone());
     let explorer = ConexExplorer::with_library(conex_cfg.clone(), library);
-    let conex =
-        explorer.explore_with_engine_resumable(&engine, mem_archs, merged, &mut |_| Ok(()))?;
-    log.line("final selection complete (phase II answered from the merged cache)");
+    let conex = explorer.explore_with_engine_resumable(
+        &engine,
+        mem_archs,
+        Phase1State::default(),
+        &mut |_| Ok(()),
+    )?;
     let cache_stats = cache.stats();
+    log.line(&format!(
+        "serial pass complete: {} of {} evaluations answered from the merged cache",
+        cache_stats.hits,
+        cache_stats.hits + cache_stats.misses
+    ));
     let report = RunReport::collect(
         &cfg.workload,
         &apex_cfg,
@@ -1063,22 +945,20 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
         start.elapsed().as_secs_f64(),
         false,
     );
-    publish_status(
-        cfg, &manifest, "complete", done, restarts, stolen, backoff_ms, &slots,
-    );
+    publish_status(cfg, &manifest, "complete", done, &tally, &slots);
     log.line(&format!(
         "merge complete: {} estimated, {} simulated, {} restarts, {} leases stolen",
         conex.estimated().len(),
         conex.simulated().len(),
-        restarts,
-        stolen
+        tally.restarts,
+        tally.stolen
     ));
     Ok(SwarmRun::Completed(Box::new(SwarmOutcome {
         report,
         conex,
-        restarts,
-        leases_stolen: stolen,
-        backoff_ms,
+        restarts: tally.restarts,
+        leases_stolen: tally.stolen,
+        backoff_ms: tally.backoff_ms,
         retired_slots: slots
             .iter()
             .filter(|s| matches!(s.state, SlotState::Retired))
@@ -1087,12 +967,43 @@ pub fn supervise(cfg: &SwarmConfig) -> Result<SwarmRun, MceError> {
     })))
 }
 
-fn load_checked_shard(
-    dir: &Path,
-    lease: &Lease,
-    w_digest: &str,
-    c_digest: &str,
-) -> Result<WorkerShard, MceError> {
+/// Charges slot `k` one restart — after a crash or a failed spawn — and
+/// either retires it (over its restart budget) or backs it off on the
+/// [`backoff_after`] schedule, logging which.
+fn charge_restart(
+    cfg: &SwarmConfig,
+    k: usize,
+    slot: &mut Slot,
+    now: Instant,
+    tally: &mut Tally,
+    log: &mut RunLog,
+) {
+    tally.restarts += 1;
+    obs::counter_add("swarm.restarts", 1);
+    slot.restarts += 1;
+    if slot.restarts > cfg.restart_budget {
+        slot.state = SlotState::Retired;
+        log.line(&format!(
+            "worker {k}: retired after {} restarts (budget {})",
+            slot.restarts, cfg.restart_budget
+        ));
+    } else {
+        let delay = backoff_after(slot.restarts, cfg.backoff_base, cfg.backoff_cap);
+        tally.backoff_ms += delay.as_millis() as u64;
+        obs::counter_add("swarm.backoff_ms", delay.as_millis() as u64);
+        slot.backoff_until = Some(now + delay);
+        slot.state = SlotState::Idle;
+        log.line(&format!(
+            "worker {k}: backing off {} ms before restart {}",
+            delay.as_millis(),
+            slot.restarts
+        ));
+    }
+}
+
+/// Checks that the lease's receipt shard is intact and settles exactly
+/// this lease of this workload and configuration.
+fn verify_shard(dir: &Path, lease: &Lease, w_digest: &str, c_digest: &str) -> Result<(), MceError> {
     let shard = WorkerShard::load(&shard_path(dir, lease.id))?;
     if shard.workload_digest != w_digest || shard.config_digest != c_digest {
         return Err(MceError::checkpoint(format!(
@@ -1106,104 +1017,35 @@ fn load_checked_shard(
             lease.id, shard.start, shard.end, lease.start, lease.end
         )));
     }
-    Ok(shard)
+    Ok(())
 }
 
-/// Rebuilds the supervisor's registries so the merged report reads as a
-/// serial run's:
-///
-/// * `apex.*` — the supervisor's own post-APEX snapshot (authoritative;
-///   also shields against inline lease runs re-counting APEX work);
-/// * `swarm.*` — left untouched (supervision history is real);
-/// * `conex.shortlist` / `conex.simulated` — zeroed; the resumable
-///   Phase II call sets/advances them to exactly the serial values;
-/// * `budget.*` — zeroed (wall-clock section, workers ran unbounded);
-/// * every other counter — the sum over worker shards (a partition of
-///   the serial work);
-/// * `conex.frontier_size_max` — derived from the merged frontier
-///   snapshots (worker-local fronts over a slice can exceed the global
-///   front, so a max-merge would overshoot);
-/// * every other gauge — the max over worker shards.
-///
-/// Anything in the live registry not covered above is zeroed, so inline
-/// lease runs cannot leak stray totals into the report.
-fn restore_merged_registries(
-    own_apex: &[(String, u64)],
-    own_apex_gauges: &[(String, u64)],
-    counter_sums: &BTreeMap<String, u64>,
-    gauge_maxes: &BTreeMap<String, u64>,
-    frontier: &[mce_conex::FrontierSnapshot],
-) {
-    if !obs::tracing_enabled() {
-        return;
-    }
-    let excluded = |name: &str| {
-        name.starts_with("apex.")
-            || name.starts_with("swarm.")
-            || name.starts_with("budget.")
-            || name == "conex.shortlist"
-            || name == "conex.simulated"
+/// Puts every counter and gauge except the live `swarm.*` tallies back
+/// to the supervisor's post-APEX snapshot (0 when absent there), so
+/// leases run inline in this process leave nothing behind for the final
+/// pass to report.
+fn reset_registries((counters, gauges): &(NamedValues, NamedValues)) {
+    let base = |named: &NamedValues, name: &str| {
+        named.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v)
     };
-    let mut counters: BTreeMap<String, u64> = own_apex
-        .iter()
-        .filter(|(n, _)| n.starts_with("apex."))
-        .cloned()
-        .collect();
-    for (name, v) in obs::counters_snapshot() {
-        if name.starts_with("swarm.") {
-            counters.insert(name.to_owned(), v);
-        }
-    }
-    for (name, sum) in counter_sums {
-        if !excluded(name) {
-            counters.insert(name.clone(), *sum);
-        }
-    }
     for (name, _) in obs::counters_snapshot() {
-        if !counters.contains_key(name) {
-            obs::counter_restore(name, 0);
+        if !name.starts_with("swarm.") {
+            obs::counter_restore(name, base(counters, name));
         }
-    }
-    for (name, v) in &counters {
-        obs::counter_restore(name, *v);
-    }
-    let mut gauges: BTreeMap<String, u64> = own_apex_gauges
-        .iter()
-        .filter(|(n, _)| n.starts_with("apex."))
-        .cloned()
-        .collect();
-    for (name, v) in obs::gauges_snapshot() {
-        if name.starts_with("swarm.") {
-            gauges.insert(name.to_owned(), v);
-        }
-    }
-    for (name, max) in gauge_maxes {
-        if !excluded(name) && name != "conex.frontier_size_max" {
-            gauges.insert(name.clone(), *max);
-        }
-    }
-    if let Some(fmax) = frontier.iter().map(|s| s.frontier_size as u64).max() {
-        gauges.insert("conex.frontier_size_max".to_owned(), fmax);
     }
     for (name, _) in obs::gauges_snapshot() {
-        if !gauges.contains_key(name) {
-            obs::gauge_restore(name, 0);
+        if !name.starts_with("swarm.") {
+            obs::gauge_restore(name, base(gauges, name));
         }
-    }
-    for (name, v) in &gauges {
-        obs::gauge_restore(name, *v);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn publish_status(
     cfg: &SwarmConfig,
     manifest: &LeaseManifest,
     status: &str,
     done: usize,
-    restarts: u64,
-    stolen: u64,
-    backoff_ms: u64,
+    tally: &Tally,
     slots: &[Slot],
 ) {
     let mut s = String::from("{\n");
@@ -1216,9 +1058,9 @@ fn publish_status(
     s.push_str(&format!("  \"workers\": {},\n", cfg.workers));
     s.push_str(&format!("  \"leases_done\": {done},\n"));
     s.push_str(&format!("  \"leases_total\": {},\n", manifest.leases.len()));
-    s.push_str(&format!("  \"restarts\": {restarts},\n"));
-    s.push_str(&format!("  \"leases_stolen\": {stolen},\n"));
-    s.push_str(&format!("  \"backoff_ms\": {backoff_ms},\n"));
+    s.push_str(&format!("  \"restarts\": {},\n", tally.restarts));
+    s.push_str(&format!("  \"leases_stolen\": {},\n", tally.stolen));
+    s.push_str(&format!("  \"backoff_ms\": {},\n", tally.backoff_ms));
     s.push_str("  \"slots\": [");
     for (k, slot) in slots.iter().enumerate() {
         if k > 0 {

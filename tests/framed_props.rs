@@ -12,7 +12,7 @@
 
 use memory_conex::appmodel::benchmarks;
 use memory_conex::checkpoint::{fnv128, Checkpoint};
-use memory_conex::conex::{ArchSlice, CacheStats, CanonKey, FrontierSnapshot, Metrics};
+use memory_conex::conex::{CacheStats, CanonKey, FrontierSnapshot, Metrics};
 use memory_conex::serve::journal::fold;
 use memory_conex::serve::{replay, JobEvent, JobJournal, JobSpec};
 use memory_conex::swarm::{partition_leases, LeaseManifest, LeaseState, WorkerShard};
@@ -105,22 +105,12 @@ fn manifest(seed: u64) -> LeaseManifest {
 fn shard(seed: u64) -> WorkerShard {
     let mut r = Lcg(seed);
     let start = r.below(10);
-    let end = start + 1 + r.below(4);
     WorkerShard {
         workload_digest: format!("{:032x}", r.next()),
         config_digest: format!("{:032x}", r.next()),
         lease: r.below(8),
         start,
-        end,
-        archs: (start..end)
-            .map(|arch| ArchSlice {
-                arch,
-                estimated: Vec::new(),
-                shortlist: Vec::new(),
-            })
-            .collect(),
-        counters: vec![("conex.estimate_jobs".to_owned(), r.next())],
-        gauges: vec![("conex.frontier_size_max".to_owned(), r.next())],
+        end: start + 1 + r.below(4),
     }
 }
 
@@ -370,6 +360,22 @@ fn records_of_another_schema_are_rejected() {
         "v1_framed_manifest",
         &text.replacen("{\"mce_manifest\":2,", "{\"mce_manifest\":1,", 1),
         LeaseManifest::load,
+    );
+    // A correctly framed shard of the schema-2 layout, which carried the
+    // lease's architecture slices and registries.
+    let body = format!(
+        "{{\"workload_digest\":\"{0}\",\"config_digest\":\"{0}\",\"lease\":0,\"start\":0,\
+         \"end\":1,\"archs\":[{{\"arch\":0,\"estimated\":[],\"shortlist\":[]}}],\
+         \"counters\":[[\"conex.estimate_jobs\",5]],\"gauges\":[]}}",
+        "0123456789abcdef0123456789abcdef"
+    );
+    schema_is_rejected(
+        "v2_shard",
+        &format!(
+            "{{\"mce_shard\":2,\"digest\":\"{}\",\"shard\":{body}}}\n",
+            fnv128(body.as_bytes())
+        ),
+        WorkerShard::load,
     );
     std::fs::remove_file(&path).ok();
 }

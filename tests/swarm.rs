@@ -2,15 +2,21 @@
 //! multi-process run must merge to the same report a single process
 //! produces (up to `wall_clock`), survive a SIGKILL'd worker and a
 //! heartbeat-stalled worker, and degrade to inline completion when the
-//! restart budget runs out — exiting 0 when every lease ran under a
+//! restart budget runs out (crashes and failed spawns alike) — exiting
+//! 0 when every lease ran under a
 //! worker, 2 when it completed only by falling back to inline
 //! execution, 1 on failure. The binary is built with the
 //! `fault-injection` feature through the package's self-dev-dependency,
 //! so `MCE_FAULT` is live in the spawned processes.
 
+use memory_conex::appmodel::benchmarks;
 use memory_conex::obs;
+use memory_conex::sim::Preset;
+use memory_conex::swarm::{self, manifest_path, LeaseManifest, SwarmConfig, SwarmRun};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mce_swarm_{}_{name}", std::process::id()))
@@ -230,5 +236,55 @@ fn exhausted_restart_budget_degrades_to_inline_completion() {
         log.contains("inline"),
         "no inline completion in the log:\n{log}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Workers that cannot even be spawned are charged like crashes: each
+/// slot backs off, then retires once over its restart budget — with the
+/// same log lines a crash produces — and the supervisor completes every
+/// lease inline, still merging to the serial report.
+#[test]
+fn failed_spawns_retire_every_slot_and_complete_inline() {
+    let Some(bin) = option_env!("CARGO_BIN_EXE_mce") else {
+        eprintln!("skipping: mce binary path not provided by the harness");
+        return;
+    };
+    let dir = tmp("nospawn");
+    std::fs::create_dir_all(&dir).unwrap();
+    let serial = serial_report(bin, &dir);
+    let mut cfg = SwarmConfig::new(benchmarks::vocoder(), "vocoder", dir.join("swarm"));
+    cfg.preset = Preset::Fast;
+    cfg.workers = 2;
+    cfg.worker_exe = dir.join("no-such-mce");
+    cfg.backoff_base = Duration::from_millis(1);
+    cfg.restart_budget = 1;
+    // Registries collect as under `mce swarm --report-out`.
+    obs::install(Arc::new(obs::NullSink::new()));
+    let run = swarm::supervise(&cfg);
+    obs::uninstall();
+    let Ok(SwarmRun::Completed(outcome)) = run else {
+        panic!("supervise did not complete: {run:?}");
+    };
+    let leases = LeaseManifest::load(&manifest_path(&cfg.dir))
+        .expect("manifest loads")
+        .leases
+        .len();
+    assert_eq!(outcome.retired_slots, cfg.workers, "every slot retires");
+    assert_eq!(outcome.inline_leases, leases, "every lease runs inline");
+    assert_eq!(outcome.restarts, 2 * cfg.workers as u64);
+    let report = dir.join("swarm.json");
+    std::fs::write(&report, outcome.report.to_json()).unwrap();
+    assert_diff_clean(bin, &serial, &report, "spawn-failure swarm");
+    let log = swarm_log(&dir);
+    for k in 0..cfg.workers {
+        assert!(
+            log.contains(&format!("worker {k}: retired after 2 restarts (budget 1)")),
+            "no retirement of worker {k} in the log:\n{log}"
+        );
+        assert!(
+            log.contains(&format!("worker {k}: backing off 1 ms before restart 1")),
+            "no backoff of worker {k} in the log:\n{log}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
